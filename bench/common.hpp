@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "core/testbed.hpp"
@@ -104,6 +105,20 @@ inline KernelStats kernel_stats(core::Testbed& bed) {
   return s;
 }
 
+// Print one exact line per configuration, in submission order: its
+// completed (measured) ops and simulated event count. Both are pure
+// functions of the configuration and seed, so this block is what the
+// determinism goldens diff; wall-clock figures stay on stderr.
+inline void print_run_digest(std::ostream& out, const ParallelRunner& runner,
+                             const std::vector<std::uint64_t>& ops) {
+  out << "run digest (config: completed ops, simulated events)\n";
+  const auto& recs = runner.records();
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    out << "  " << recs[i].label << ": ops=" << ops[i]
+        << " events=" << recs[i].events << "\n";
+  }
+}
+
 // Emit the run's observability artifacts into bench_out/: always a
 // `<name>.metrics.json` registry snapshot (with the process memory
 // footprint), plus — when the run was traced — a `<name>.trace.json`
@@ -126,13 +141,13 @@ inline void write_obs_artifacts(core::Cluster& cluster, std::string name) {
     blame.register_metrics(&cluster.obs().registry);
   }
   const std::string metrics = "bench_out/" + name + ".metrics.json";
-  if (!obs::write_metrics_json(cluster.obs(), cluster.sim().now(), metrics,
+  if (!obs::write_metrics_json(cluster.obs(), cluster.now(), metrics,
                                &mem)) {
     std::cerr << "warning: failed to write " << metrics << "\n";
   }
   if (traced) {
     const std::string bpath = "bench_out/" + name + ".blame.json";
-    if (!obs::write_blame_json(blame, cluster.sim().now(), bpath,
+    if (!obs::write_blame_json(blame, cluster.now(), bpath,
                                &cluster.obs().watchdog)) {
       std::cerr << "warning: failed to write " << bpath << "\n";
     }
@@ -160,8 +175,8 @@ inline void write_obs_artifacts(core::Cluster& cluster, std::string name) {
 // Command-line options shared by every bench binary.
 //
 //   --threads N   worker threads for the partitioned simulation kernel
-//                 (ClusterParams::nthreads); default 1 = the serial
-//                 kernel, byte-identical to the pre-partitioning figures
+//                 (ClusterParams::nthreads); default 1. Simulated results
+//                 are identical for every N
 //   --smoke       reduced grid / shortened run for CI smoke jobs
 //   --trace       enable span tracing (same effect as REDBUD_TRACE=1)
 //   --sample-interval M

@@ -72,6 +72,8 @@ int main(int argc, char** argv) {
   // Every (workload, protocol) cell is an independent simulation; fan the
   // 24-configuration grid out over OS threads.
   std::vector<Row> rows(workloads.size());
+  // Completed ops per configuration, indexed in submission order.
+  std::vector<std::uint64_t> ops(workloads.size() * 4);
   bench::ParallelRunner runner;
   for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
     rows[wi].workload = workloads[wi].first;
@@ -79,8 +81,9 @@ int main(int argc, char** argv) {
     for (int pi = 0; pi < 4; ++pi) {
       const std::string name = workloads[wi].first;
       Row& row = rows[wi];
+      std::uint64_t* ops_out = &ops[wi * 4 + pi];
       runner.add(name + "/" + core::protocol_name(kProtocols[pi]),
-                 [name, pi, &row, cli]() -> bench::KernelStats {
+                 [name, pi, &row, ops_out, cli]() -> bench::KernelStats {
                    auto w = make_workload(name);
                    core::Testbed bed(bench::paper_testbed(kProtocols[pi], cli));
                    bed.start();
@@ -90,6 +93,7 @@ int main(int argc, char** argv) {
                    // job compares aggregate bandwidth (inverse makespan).
                    row.value[pi] = w->fixed_work() ? r.mb_per_sec : r.ops_per_sec;
                    row.verify[pi] = r.verify_failures + r.op_errors;
+                   *ops_out = r.ops;
                    if (auto* c = bed.cluster()) {
                      bench::write_obs_artifacts(
                          *c, "fig3_" + name + "_" +
@@ -116,6 +120,7 @@ int main(int argc, char** argv) {
     for (auto v : row.verify) clean = clean && v == 0;
   }
   table.print(std::cout);
+  bench::print_run_digest(std::cout, runner, ops);
   std::cout << "verification: "
             << (clean ? "all reads verified, no op errors"
                       : "FAILURES DETECTED")

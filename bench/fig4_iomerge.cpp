@@ -45,13 +45,16 @@ int main(int argc, char** argv) {
   // 3 file sizes x 3 configurations, each an independent simulation.
   constexpr std::uint32_t kSizesKb[] = {32, 64, 1024};
   double ratio[3][3] = {};
+  // Completed ops per configuration, indexed in submission order.
+  std::vector<std::uint64_t> ops(9);
   bench::ParallelRunner runner;
   for (int si = 0; si < 3; ++si) {
     for (int ci = 0; ci < 3; ++ci) {
       const std::uint32_t kb = kSizesKb[si];
       double* out = &ratio[si][ci];
+      std::uint64_t* ops_out = &ops[si * 3 + ci];
       runner.add(std::to_string(kb) + "KB/" + kConfigs[ci].name,
-                 [kb, ci, out, cli]() -> bench::KernelStats {
+                 [kb, ci, out, ops_out, cli]() -> bench::KernelStats {
                    auto params = bench::paper_testbed(kConfigs[ci].protocol, cli);
                    params.redbud.client.delegation = kConfigs[ci].delegation;
                    params.redbud.client.chunk_blocks =
@@ -66,6 +69,7 @@ int main(int argc, char** argv) {
                    };
                    auto r = run_workload(bed, w, opt);
                    *out = cluster->array().write_merge_ratio();
+                   *ops_out = r.ops;
                    bench::write_obs_artifacts(
                        *cluster, "fig4_" + std::to_string(kb) + "KB_" +
                                      std::string(kConfigs[ci].name));
@@ -88,5 +92,6 @@ int main(int argc, char** argv) {
                    "orig ~0; delegation 2.8-5.9x over DC"});
   }
   table.print(std::cout);
+  bench::print_run_digest(std::cout, runner, ops);
   return 0;
 }

@@ -19,7 +19,7 @@ using redbud::sim::Simulation;
 
 namespace {
 
-Process demo(Simulation& sim, Cluster& cluster, client::ClientFs& fs) {
+Process demo(Simulation& sim, client::ClientFs& fs) {
   // 1. Create a file (a metadata RPC to the MDS).
   auto cfut = fs.create(net::kRootDir, "hello.dat");
   const net::FileId file = co_await cfut;
@@ -54,10 +54,13 @@ Process demo(Simulation& sim, Cluster& cluster, client::ClientFs& fs) {
   (void)co_await sfut;
   std::printf("[%7.3f ms] fsync completed after %.2f ms\n",
               sim.now().to_millis(), (sim.now() - s0).to_millis());
+}
 
-  // 5. Inspect what the background machinery did. The metadata service
-  //    is a (here: two-shard) cluster; the file's home shard carries its
-  //    commits, so the per-shard lines show where the ShardMap routed it.
+// 5. Inspect what the background machinery did, once the run is over.
+//    The metadata service is a (here: two-shard) cluster; the file's home
+//    shard carries its commits, so the per-shard lines show where the
+//    ShardMap routed it.
+void report(Cluster& cluster, client::ClientFs& fs) {
   std::printf("\ncluster state after the run:\n");
   std::printf("  commit RPCs sent       : %llu (mean compound degree %.2f)\n",
               static_cast<unsigned long long>(fs.commit_pool().rpcs_sent()),
@@ -82,8 +85,9 @@ int main() {
 
   Cluster cluster(params);
   cluster.start();
-  cluster.sim().spawn(demo(cluster.sim(), cluster, cluster.client(0)));
-  cluster.sim().run_until(SimTime::seconds(10));
-  cluster.sim().check_failures();
+  cluster.client_sim(0).spawn(demo(cluster.client_sim(0), cluster.client(0)));
+  cluster.run_until(SimTime::seconds(10));
+  cluster.check_failures();
+  report(cluster, cluster.client(0));
   return 0;
 }

@@ -30,7 +30,7 @@ redbud::sim::Simulation& FaultInjector::partition_of(const FaultEvent& e) {
     case FaultKind::kShardCrash:
       return cluster_->shard_sim(e.target);
   }
-  return cluster_->sim();
+  return cluster_->shard_sim(0);  // unreachable: the switch is exhaustive
 }
 
 void FaultInjector::arm() {

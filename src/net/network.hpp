@@ -6,13 +6,14 @@
 // queue back up, and when NFS3 funnels all data through one server, that
 // server's NIC saturates.
 //
-// Under a parallel SimDomain the switch is the only cross-partition edge:
-// each node's pipes live in the partition that simulates the node, and a
+// Under a SimDomain the switch is the only cross-partition edge: each
+// node's pipes live in the partition that simulates the node, and a
 // remote send becomes a timestamped mailbox push — the egress reservation
-// happens synchronously in the sender's partition (same instant and FIFO
-// order as the serial kernel's send coroutine), the ingress reservation
-// and completion callback run in the receiver's partition at
-// egress-arrival + switch latency, which is >= the domain lookahead.
+// happens synchronously in the sender's partition, the ingress
+// reservation and completion callback run in the receiver's partition at
+// egress-arrival + switch latency, which is >= the domain lookahead. A
+// network built on one plain Simulation (the NFS3/PVFS2 baselines) has
+// every node in that one partition.
 #pragma once
 
 #include <atomic>
@@ -53,9 +54,10 @@ struct NetworkParams {
 
 class Network {
  public:
+  // Single-partition network: every node lives in `sim`.
   Network(redbud::sim::Simulation& sim, NetworkParams params);
-  // Parallel-capable network: nodes must be added with an owning
-  // partition via add_node(Simulation&, ...).
+  // Partitioned network: nodes must be added with an owning partition via
+  // add_node(Simulation&, ...).
   Network(redbud::sim::SimDomain& domain, NetworkParams params);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -68,19 +70,16 @@ class Network {
 
   // Move `bytes` from `from` to `to`; the future resolves when the last
   // byte has been received (egress queueing + fabric + ingress queueing).
-  // Requires both nodes in the same partition (always true serially).
+  // A deliver() whose completion resolves a promise, so it requires both
+  // nodes in the same partition.
   [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> send(
       NodeId from, NodeId to, std::size_t bytes);
 
   // Move `bytes` from `from` to `to` and run `done` in the *receiver's*
   // partition when the last byte arrives. The cross-partition primitive;
-  // also valid (and equivalent to send) within one partition.
+  // also valid within one partition.
   void deliver(NodeId from, NodeId to, std::size_t bytes,
                redbud::sim::SmallFn done);
-
-  [[nodiscard]] bool parallel() const {
-    return domain_ != nullptr && domain_->parallel();
-  }
 
   // RPC endpoint directory, so a reply can be routed to the caller's
   // partition without the server ever touching caller state directly.
@@ -89,7 +88,7 @@ class Network {
     return n < endpoints_.size() ? endpoints_[n] : nullptr;
   }
 
-  // The partition simulating node `n` (the network's own sim serially).
+  // The partition simulating node `n`.
   [[nodiscard]] redbud::sim::Simulation& node_sim(NodeId n) {
     return *nodes_[n]->sim;
   }
@@ -112,11 +111,11 @@ class Network {
   // All fault state is per *source* node and is read/written only from the
   // source's own partition: the loss draw and the extra-delay read happen
   // synchronously at deliver()/send() entry, in per-node RNG streams whose
-  // draw order equals the call order — identical serial and parallel, for
-  // any worker count. A dropped frame still occupies its slot on the
-  // sender's egress pipe (the NIC transmitted it; the fabric lost it) but
-  // never arrives: the completion callback is never run, the send future
-  // never resolves, and recovery is the caller's (RPC retry) problem.
+  // draw order equals the call order — identical for any worker count. A
+  // dropped frame still occupies its slot on the sender's egress pipe
+  // (the NIC transmitted it; the fabric lost it) but never arrives: the
+  // completion callback is never run, the send future never resolves,
+  // and recovery is the caller's (RPC retry) problem.
   // Must be called from the node's owning partition.
   void set_link_loss(NodeId n, double loss_rate);
   // Fixed extra one-way latency added to every frame leaving `n` (a
@@ -168,9 +167,6 @@ class Network {
            src.fault_rng.next_double() < src.loss_rate;
   }
 
-  redbud::sim::Process send_proc(NodeId from, NodeId to, std::size_t bytes,
-                                 bool lost, redbud::sim::SimTime extra,
-                                 redbud::sim::SimPromise<redbud::sim::Done> p);
   redbud::sim::Process deliver_proc(NodeId from, NodeId to,
                                     std::size_t bytes, bool lost,
                                     redbud::sim::SimTime extra,

@@ -10,7 +10,6 @@
 
 namespace redbud::net {
 
-using redbud::sim::Process;
 using redbud::sim::SimFuture;
 using redbud::sim::SimPromise;
 using redbud::sim::SimTime;
@@ -94,8 +93,8 @@ const char* op_name(const RequestBody& body) {
 RpcEndpoint::RpcEndpoint(redbud::sim::Simulation& sim, Network& net,
                          NodeId node)
     : sim_(&sim), net_(&net), node_(node), incoming_(sim) {
-  // Directory entry so a parallel-mode reply can be routed back to this
-  // endpoint's partition without the server touching caller state.
+  // Directory entry so a reply can be routed back to this endpoint's
+  // partition without the server touching caller state.
   net.register_endpoint(node, this);
 }
 
@@ -120,20 +119,7 @@ SimFuture<ResponseBody> RpcEndpoint::call(RpcEndpoint& server,
   auto& st = op_stats_[op];
   ++st.sent;
   st.bytes_sent += bytes;
-  if (net_->parallel()) {
-    // Cross-partition request: arrival bookkeeping runs in the server's
-    // partition when the last byte lands there.
-    net_->deliver(node_, server.node_, bytes,
-                  [srv = &server, xid, from = node_, body = std::move(body),
-                   rpc_ctx]() mutable {
-                    srv->receive_request(xid, from, std::move(body), rpc_ctx,
-                                         false);
-                  });
-  } else {
-    server.peers_[node_] = this;
-    sim_->spawn(
-        deliver_request(&server, xid, std::move(body), bytes, rpc_ctx, false));
-  }
+  send_request(server, xid, std::move(body), bytes, rpc_ctx, false);
   return fut;
 }
 
@@ -194,20 +180,19 @@ void RpcEndpoint::transmit(std::uint64_t xid, RetryCall& rc) {
   ++st.sent;
   st.bytes_sent += bytes;
   rc.sent_at = sim_->now();
-  RequestBody copy = rc.body;  // the original stays for retransmission
-  if (net_->parallel()) {
-    net_->deliver(node_, rc.server->node_, bytes,
-                  [srv = rc.server, xid, from = node_,
-                   body = std::move(copy), rpc_ctx = rc.rpc_ctx,
-                   retryable = rc.retryable]() mutable {
-                    srv->receive_request(xid, from, std::move(body), rpc_ctx,
-                                         retryable);
-                  });
-  } else {
-    rc.server->peers_[node_] = this;
-    sim_->spawn(deliver_request(rc.server, xid, std::move(copy), bytes,
-                                rc.rpc_ctx, rc.retryable));
-  }
+  // The original body stays in `rc` for retransmission.
+  send_request(*rc.server, xid, rc.body, bytes, rc.rpc_ctx, rc.retryable);
+}
+
+void RpcEndpoint::send_request(RpcEndpoint& server, std::uint64_t xid,
+                               RequestBody body, std::size_t bytes,
+                               obs::TraceContext ctx, bool retryable) {
+  net_->deliver(node_, server.node_, bytes,
+                [srv = &server, xid, from = node_, body = std::move(body), ctx,
+                 retryable]() mutable {
+                  srv->receive_request(xid, from, std::move(body), ctx,
+                                       retryable);
+                });
 }
 
 void RpcEndpoint::arm_retry_timer(std::uint64_t xid,
@@ -238,13 +223,6 @@ void RpcEndpoint::on_retry_timeout(std::uint64_t xid) {
       std::min(rc.cur_timeout * rc.policy.backoff, rc.policy.max_timeout);
   transmit(xid, rc);
   arm_retry_timer(xid, rc.cur_timeout);
-}
-
-Process RpcEndpoint::deliver_request(RpcEndpoint* server, std::uint64_t xid,
-                                     RequestBody body, std::size_t bytes,
-                                     obs::TraceContext ctx, bool retryable) {
-  co_await net_->send(node_, server->node_, bytes);
-  server->receive_request(xid, node_, std::move(body), ctx, retryable);
 }
 
 void RpcEndpoint::receive_request(std::uint64_t xid, NodeId from,
@@ -307,26 +285,14 @@ void RpcEndpoint::reply(const IncomingRpc& rpc, ResponseBody body) {
 void RpcEndpoint::send_response(NodeId to, std::uint64_t xid,
                                 ResponseBody body) {
   const std::size_t bytes = kRpcHeaderBytes + wire_size(body);
-  if (net_->parallel()) {
-    // Route the response through the endpoint directory: completion runs
-    // in the caller's partition at wire arrival.
-    RpcEndpoint* peer = net_->endpoint(to);
-    assert(peer != nullptr && "reply to an unregistered endpoint");
-    net_->deliver(node_, to, bytes,
-                  [peer, xid, body = std::move(body)]() mutable {
-                    peer->complete_call(xid, std::move(body));
-                  });
-    return;
-  }
-  sim_->spawn(deliver_response(to, xid, std::move(body), bytes));
-}
-
-Process RpcEndpoint::deliver_response(NodeId to, std::uint64_t xid,
-                                      ResponseBody body, std::size_t bytes) {
-  co_await net_->send(node_, to, bytes);
-  auto it = peers_.find(to);
-  assert(it != peers_.end());
-  it->second->complete_call(xid, std::move(body));
+  // Route the response through the endpoint directory: completion runs in
+  // the caller's partition at wire arrival.
+  RpcEndpoint* peer = net_->endpoint(to);
+  assert(peer != nullptr && "reply to an unregistered endpoint");
+  net_->deliver(node_, to, bytes,
+                [peer, xid, body = std::move(body)]() mutable {
+                  peer->complete_call(xid, std::move(body));
+                });
 }
 
 void RpcEndpoint::complete_call(std::uint64_t xid, ResponseBody body) {

@@ -42,40 +42,10 @@ void DiskArray::start() {
   for (auto& s : schedulers_) s->start();
 }
 
-Process DiskArray::write_proc(PhysAddr addr, std::uint32_t nblocks,
-                              std::vector<ContentToken> tokens,
-                              SimPromise<Done> p) {
-  co_await fc_->transfer(std::size_t(nblocks) * kBlockSize);
-  // Future obtained in its own statement: GCC 12 double-destroys
-  // non-trivially-destructible by-value call arguments placed inside a
-  // co_await expression, so never pass the token vector there directly.
-  auto io = schedulers_[addr.device]->submit(IoKind::kWrite, addr.block,
-                                             nblocks, std::move(tokens));
-  co_await io;
-  p.set_value(Done{});
-}
-
-Process DiskArray::read_proc(PhysAddr addr, std::uint32_t nblocks,
-                             SimPromise<Done> p) {
-  co_await schedulers_[addr.device]->submit(IoKind::kRead, addr.block, nblocks);
-  co_await fc_->transfer(std::size_t(nblocks) * kBlockSize);
-  p.set_value(Done{});
-}
-
-SimFuture<Done> DiskArray::write(PhysAddr addr, std::uint32_t nblocks,
-                                 std::vector<ContentToken> tokens) {
-  assert(addr.device < disks_.size());
-  assert(tokens.size() == nblocks);
-  SimPromise<Done> p(*sim_);
-  auto fut = p.future();
-  sim_->spawn(write_proc(addr, nblocks, std::move(tokens), std::move(p)));
-  return fut;
-}
-
 SimFuture<Done> DiskArray::write(redbud::sim::Simulation& issuer,
                                  PhysAddr addr, std::uint32_t nblocks,
                                  std::vector<ContentToken> tokens) {
-  if (!parallel()) return write(addr, nblocks, std::move(tokens));
+  REDBUD_REQUIRE(domain_ != nullptr, "DiskArray I/O before bind_domain");
   assert(addr.device < disks_.size());
   assert(tokens.size() == nblocks);
   SimPromise<Done> p(issuer);
@@ -104,6 +74,9 @@ Process DiskArray::write_arrival_proc(PhysAddr addr, std::uint32_t nblocks,
   const std::size_t bytes = std::size_t(nblocks) * kBlockSize;
   const SimTime tx_done = fc_->enqueue(bytes) - fc_->latency();
   if (tx_done > sim_->now()) co_await sim_->delay(tx_done - sim_->now());
+  // Future obtained in its own statement: GCC 12 double-destroys
+  // non-trivially-destructible by-value call arguments placed inside a
+  // co_await expression, so never pass the token vector there directly.
   auto io = schedulers_[addr.device]->submit(IoKind::kWrite, addr.block,
                                              nblocks, std::move(tokens));
   co_await io;
@@ -112,38 +85,18 @@ Process DiskArray::write_arrival_proc(PhysAddr addr, std::uint32_t nblocks,
                 [p]() mutable { p.set_value(Done{}); });
 }
 
-SimFuture<Done> DiskArray::read(PhysAddr addr, std::uint32_t nblocks) {
-  assert(addr.device < disks_.size());
-  SimPromise<Done> p(*sim_);
-  auto fut = p.future();
-  sim_->spawn(read_proc(addr, nblocks, std::move(p)));
-  return fut;
-}
-
 SimFuture<std::vector<ContentToken>> DiskArray::read_tokens(
     redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks) {
+  REDBUD_REQUIRE(domain_ != nullptr, "DiskArray I/O before bind_domain");
   assert(addr.device < disks_.size());
   SimPromise<std::vector<ContentToken>> p(issuer);
   auto fut = p.future();
-  if (!parallel()) {
-    // Same event pattern as read(); the tokens are captured at completion
-    // instead of peeked afterwards by the caller.
-    sim_->spawn(read_tokens_proc(addr, nblocks, std::move(p)));
-    return fut;
-  }
   domain_->post(
       issuer, sim_->partition_id(), issuer.now() + params_.fc_latency,
       [this, addr, nblocks, p, ipart = issuer.partition_id()]() mutable {
         sim_->spawn(read_arrival_proc(addr, nblocks, std::move(p), ipart));
       });
   return fut;
-}
-
-Process DiskArray::read_tokens_proc(PhysAddr addr, std::uint32_t nblocks,
-                                    SimPromise<std::vector<ContentToken>> p) {
-  co_await schedulers_[addr.device]->submit(IoKind::kRead, addr.block, nblocks);
-  co_await fc_->transfer(std::size_t(nblocks) * kBlockSize);
-  p.set_value(disks_[addr.device]->load(addr.block, nblocks));
 }
 
 Process DiskArray::read_arrival_proc(PhysAddr addr, std::uint32_t nblocks,

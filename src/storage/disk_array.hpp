@@ -40,31 +40,22 @@ class DiskArray {
   // Spawn per-device dispatch daemons. Call once before any I/O.
   void start();
 
-  // Attach the partitioned domain (parallel clusters only). The array and
-  // its schedulers live in `sim_`'s partition; cross-partition issuers
-  // reach it through timestamped FC-latency mailbox hops.
+  // Attach the partitioned domain; required before any I/O. The array and
+  // its schedulers live in `sim_`'s partition; issuers (in any partition,
+  // the array's own included) reach it through timestamped FC-latency
+  // mailbox hops.
   void bind_domain(redbud::sim::SimDomain* domain) { domain_ = domain; }
-  [[nodiscard]] bool parallel() const {
-    return domain_ != nullptr && domain_->parallel();
-  }
 
   // Data-path write: FC transfer of the payload, then the device write.
-  // Resolves when the blocks are durable on the platter.
-  [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> write(
-      PhysAddr addr, std::uint32_t nblocks, std::vector<ContentToken> tokens);
-  // Partition-aware variant: the completion resolves in `issuer`'s
-  // partition. Serially identical to write() above.
+  // Resolves in `issuer`'s partition once the blocks are durable on the
+  // platter and the durable ack has crossed the fabric back.
   [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> write(
       redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks,
       std::vector<ContentToken> tokens);
 
-  // Data-path read: device read, then FC transfer back. Fetch the tokens
-  // with peek() after the future resolves.
-  [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> read(
-      PhysAddr addr, std::uint32_t nblocks);
-  // Partition-aware read: resolves in `issuer`'s partition with the block
-  // tokens captured at read completion (a cross-partition issuer cannot
-  // peek() the device from its own thread).
+  // Data-path read: device read, then FC transfer back. Resolves in
+  // `issuer`'s partition with the block tokens captured at read
+  // completion (an issuer cannot peek() the device from its own thread).
   [[nodiscard]] redbud::sim::SimFuture<std::vector<ContentToken>> read_tokens(
       redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks);
 
@@ -99,14 +90,6 @@ class DiskArray {
   void reset_stats();
 
  private:
-  redbud::sim::Process write_proc(PhysAddr addr, std::uint32_t nblocks,
-                                  std::vector<ContentToken> tokens,
-                                  redbud::sim::SimPromise<redbud::sim::Done> p);
-  redbud::sim::Process read_proc(PhysAddr addr, std::uint32_t nblocks,
-                                 redbud::sim::SimPromise<redbud::sim::Done> p);
-  redbud::sim::Process read_tokens_proc(
-      PhysAddr addr, std::uint32_t nblocks,
-      redbud::sim::SimPromise<std::vector<ContentToken>> p);
   redbud::sim::Process write_arrival_proc(
       PhysAddr addr, std::uint32_t nblocks, std::vector<ContentToken> tokens,
       redbud::sim::SimPromise<redbud::sim::Done> p,

@@ -3,6 +3,8 @@
 #include <memory>
 #include <utility>
 
+#include "sim/parallel.hpp"
+
 namespace redbud::workload {
 
 using redbud::sim::Process;
@@ -44,20 +46,43 @@ void fill_result(core::Testbed& bed, Workload& w, SimTime measured,
   r.op_errors = ctx.op_errors;
 }
 
-// Partitioned-kernel driver. The structure mirrors the serial driver, but
-// every client gets its own WorkloadContext slot (independent RNG stream,
+// Run the domain in `step` increments (at least one) until every process
+// in `procs` has finished or `deadline` has passed; false if one is still
+// live then.
+bool run_until_done(core::Testbed& bed, const std::vector<ProcRef>& procs,
+                    SimTime step, SimTime deadline) {
+  bool all_done = false;
+  do {
+    bed.run_until(bed.now() + step);
+    all_done = true;
+    for (const auto& p : procs) all_done = all_done && p.done();
+  } while (!all_done && bed.now() < deadline);
+  return all_done;
+}
+
+// Preparation (fileset population) gets the same kind of hard bound as
+// the drain: a prepare() that never finishes is a fault, not a long run.
+constexpr SimTime kPrepareLimit = SimTime::seconds(3600);
+// Time-driven workloads get this long after the measured window for
+// every thread to observe ctx.stop and unwind.
+constexpr SimTime kDrainLimit = SimTime::seconds(300);
+
+}  // namespace
+
+// Every client gets its own WorkloadContext slot (independent RNG stream,
 // private stats) and its coroutines are spawned onto that client host's
-// partition. All driving goes through the domain (bed.run_until), and the
-// driver only touches contexts / ProcRefs while the domain is quiescent
-// between run_until calls — the domain barrier orders those accesses
-// against the worker threads. Slot stats merge into one result at the
-// end, so the report shape matches the serial driver.
+// partition. All driving goes through the testbed (bed.run_until), and
+// the driver only touches contexts / ProcRefs while the domain is
+// quiescent between run_until calls — the domain barrier orders those
+// accesses against the worker threads. Slot stats merge into one result
+// at the end.
 //
-// Note the RNG streams differ from the serial driver's single shared
-// stream by construction, so parallel and serial throughput numbers are
-// statistically comparable, not identical.
-WorkloadResult run_workload_parallel(core::Testbed& bed, Workload& w,
-                                     const RunOptions& opt) {
+// The driver never returns while a workload coroutine is live: those
+// frames reference the context slots destroyed on return, so any later
+// run_until would resume them into freed memory. A phase that overruns
+// its deadline aborts the run instead.
+WorkloadResult run_workload(core::Testbed& bed, Workload& w,
+                            const RunOptions& opt) {
   const std::size_t n = bed.nclients();
   w.presize(static_cast<std::uint32_t>(n));
 
@@ -79,12 +104,9 @@ WorkloadResult run_workload_parallel(core::Testbed& bed, Workload& w,
           w.prepare(csim, bed.fs(c), static_cast<std::uint32_t>(c),
                     *ctxs[c])));
     }
-    bool all_done = false;
-    while (!all_done) {
-      bed.run_until(bed.now() + SimTime::seconds(1));
-      all_done = true;
-      for (const auto& p : preps) all_done = all_done && p.done();
-    }
+    const bool prepared = run_until_done(bed, preps, SimTime::seconds(1),
+                                         bed.now() + kPrepareLimit);
+    REDBUD_REQUIRE(prepared, "workload prepare() still live at its deadline");
   }
   bed.check_failures();
 
@@ -101,18 +123,16 @@ WorkloadResult run_workload_parallel(core::Testbed& bed, Workload& w,
 
   SimTime measured;
   if (w.fixed_work()) {
+    // Measure the makespan of the whole job.
     if (opt.on_measure_start) opt.on_measure_start();
     for (auto& c : ctxs) c->measuring = true;
     const SimTime t0 = bed.now();
-    const SimTime deadline = bed.now() + opt.time_limit;
-    bool all_done = false;
-    while (!all_done && bed.now() < deadline) {
-      bed.run_until(bed.now() + SimTime::millis(20));
-      all_done = true;
-      for (const auto& p : threads) all_done = all_done && p.done();
-    }
+    const bool finished = run_until_done(bed, threads, SimTime::millis(20),
+                                         t0 + opt.time_limit);
+    REDBUD_REQUIRE(finished, "fixed-work threads still live at time_limit");
     measured = bed.now() - t0;
   } else {
+    // Warmup, then a measured window.
     bed.run_until(bed.now() + opt.warmup);
     for (auto& c : ctxs) c->reset_measurement();
     if (opt.on_measure_start) opt.on_measure_start();
@@ -123,13 +143,9 @@ WorkloadResult run_workload_parallel(core::Testbed& bed, Workload& w,
       c->stop = true;
     }
     measured = opt.duration;
-    const SimTime drain_deadline = bed.now() + SimTime::seconds(300);
-    bool all_done = false;
-    while (!all_done && bed.now() < drain_deadline) {
-      bed.run_until(bed.now() + SimTime::seconds(1));
-      all_done = true;
-      for (const auto& p : threads) all_done = all_done && p.done();
-    }
+    const bool drained = run_until_done(bed, threads, SimTime::seconds(1),
+                                        bed.now() + kDrainLimit);
+    REDBUD_REQUIRE(drained, "workload threads still live at drain deadline");
   }
   bed.check_failures();
 
@@ -137,80 +153,6 @@ WorkloadResult run_workload_parallel(core::Testbed& bed, Workload& w,
   for (const auto& c : ctxs) total.merge_stats(*c);
   WorkloadResult r;
   fill_result(bed, w, measured, total, r);
-  return r;
-}
-
-}  // namespace
-
-WorkloadResult run_workload(core::Testbed& bed, Workload& w,
-                            const RunOptions& opt) {
-  if (bed.parallel()) return run_workload_parallel(bed, w, opt);
-  auto& sim = bed.sim();
-  WorkloadContext ctx(opt.seed);
-
-  // Preparation phase: run every client's prepare() to completion.
-  {
-    std::vector<ProcRef> preps;
-    for (std::size_t c = 0; c < bed.nclients(); ++c) {
-      preps.push_back(sim.spawn(
-          w.prepare(sim, bed.fs(c), static_cast<std::uint32_t>(c), ctx)));
-    }
-    bool all_done = false;
-    while (!all_done) {
-      sim.run_until(sim.now() + SimTime::seconds(1));
-      all_done = true;
-      for (const auto& p : preps) all_done = all_done && p.done();
-    }
-  }
-  sim.check_failures();
-
-  // Spawn the workload threads.
-  std::vector<ProcRef> threads;
-  for (std::size_t c = 0; c < bed.nclients(); ++c) {
-    for (std::uint32_t t = 0; t < w.threads_per_client(); ++t) {
-      threads.push_back(sim.spawn(w.thread(
-          sim, bed.fs(c), static_cast<std::uint32_t>(c), t, ctx)));
-    }
-  }
-
-  SimTime measured;
-  if (w.fixed_work()) {
-    // Measure the makespan of the whole job.
-    if (opt.on_measure_start) opt.on_measure_start();
-    ctx.measuring = true;
-    const SimTime t0 = sim.now();
-    const SimTime deadline = sim.now() + opt.time_limit;
-    bool all_done = false;
-    while (!all_done && sim.now() < deadline) {
-      sim.run_until(sim.now() + SimTime::millis(20));
-      all_done = true;
-      for (const auto& p : threads) all_done = all_done && p.done();
-    }
-    measured = sim.now() - t0;
-  } else {
-    // Warmup, then a measured window.
-    sim.run_until(sim.now() + opt.warmup);
-    ctx.reset_measurement();
-    if (opt.on_measure_start) opt.on_measure_start();
-    ctx.measuring = true;
-    sim.run_until(sim.now() + opt.duration);
-    ctx.measuring = false;
-    ctx.stop = true;
-    measured = opt.duration;
-    // Drain: every thread must unwind before we return, or coroutine
-    // frames could outlive the Workload object they reference.
-    const SimTime drain_deadline = sim.now() + SimTime::seconds(300);
-    bool all_done = false;
-    while (!all_done && sim.now() < drain_deadline) {
-      sim.run_until(sim.now() + SimTime::seconds(1));
-      all_done = true;
-      for (const auto& p : threads) all_done = all_done && p.done();
-    }
-  }
-  sim.check_failures();
-
-  WorkloadResult r;
-  fill_result(bed, w, measured, ctx, r);
   return r;
 }
 

@@ -1,11 +1,11 @@
 // Partitioned-cluster tests: the full Redbud stack driven through the
-// SimDomain. The determinism contract under test: a metadata-only
-// workload with per-client RNG streams and staggered starts completes
-// every operation at the same simulated instant whether the kernel runs
-// serial (nthreads = 1, the classic code paths) or partitioned over any
-// number of worker threads — the parallel network/RPC paths must
-// reproduce the serial timing exactly. Data-path workloads additionally
-// smoke-test the parallel disk-array and workload-driver plumbing.
+// SimDomain. The determinism contract under test: a workload with
+// per-client RNG streams and staggered starts — metadata ops and the data
+// path (write, fsync, read through the FC-attached array) — completes
+// every operation at the same simulated nanosecond whether the kernel's
+// windows run on the coordinator alone (nthreads = 1) or on any number of
+// worker threads. Further tests smoke-test the disk-array and
+// workload-driver plumbing.
 //
 // Naming: suites start with "Parallel" for the TSan job's `ctest -R
 // Parallel` filter.
@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/recovery.hpp"
@@ -45,13 +46,15 @@ ClusterParams small_cluster(std::uint32_t nthreads) {
   return p;
 }
 
-// One client's metadata churn: create / remove under a private RNG
-// stream, think-time jitter, staggered start. Completion instants land in
-// `log` (client-private, written only by this client's partition).
-Process meta_churn(Simulation& sim, client::ClientFs& fs,
+// One client's churn: create / write / read / fsync / remove under a
+// private RNG stream, think-time jitter, staggered start. Completion
+// instants land in `log` (client-private, written only by this client's
+// partition), and so does every read-back token.
+Process mixed_churn(Simulation& sim, client::ClientFs& fs,
                    std::uint32_t client_id,
                    std::vector<std::int64_t>* log) {
   Rng rng(1000 + client_id);
+  std::vector<std::pair<net::FileId, std::uint32_t>> synced;
   co_await sim.delay(SimTime::micros(137 * client_id));
   for (int i = 0; i < 40; ++i) {
     const std::string name =
@@ -60,6 +63,32 @@ Process meta_churn(Simulation& sim, client::ClientFs& fs,
     const net::FileId id = co_await cfut;
     EXPECT_NE(id, net::kInvalidFile);
     log->push_back(sim.now().ns());
+    if (id != net::kInvalidFile && i % 2 == 0) {
+      const std::uint32_t nbytes = 4096 * (1 + rng.next_below(8));
+      auto wfut = fs.write(id, 0, nbytes);
+      EXPECT_EQ(co_await wfut, Status::kOk);
+      log->push_back(sim.now().ns());
+      if (i % 4 == 0) {
+        auto sfut = fs.fsync(id);
+        EXPECT_EQ(co_await sfut, Status::kOk);
+        log->push_back(sim.now().ns());
+        // Read back the previously fsynced file: its pages are clean and,
+        // in the tiny client cache, evicted, so the read crosses the FC
+        // fabric to the array.
+        if (!synced.empty()) {
+          const auto [old_id, old_bytes] = synced.back();
+          auto rfut = fs.read(old_id, 0, old_bytes);
+          const auto rr = co_await rfut;
+          EXPECT_EQ(rr.status, Status::kOk);
+          log->push_back(sim.now().ns());
+          for (std::uint64_t b = 0; b < rr.tokens.size(); ++b) {
+            EXPECT_EQ(rr.tokens[b], fs.expected_token(old_id, b));
+            log->push_back(static_cast<std::int64_t>(rr.tokens[b]));
+          }
+        }
+        if (i % 3 != 0) synced.emplace_back(id, nbytes);  // not removed
+      }
+    }
     co_await sim.delay(SimTime::micros(50 + rng.next_below(300)));
     if (i % 3 == 0 && id != net::kInvalidFile) {
       auto rfut = fs.remove(net::kRootDir, name);
@@ -73,40 +102,46 @@ Process meta_churn(Simulation& sim, client::ClientFs& fs,
 
 // Run the churn on a cluster with `nthreads` workers; return the
 // per-client completion-time logs (client-major, deterministic layout).
-std::vector<std::vector<std::int64_t>> run_meta_churn(std::uint32_t nthreads) {
-  Cluster c(small_cluster(nthreads));
+std::vector<std::vector<std::int64_t>> run_mixed_churn(
+    std::uint32_t nthreads) {
+  ClusterParams p = small_cluster(nthreads);
+  p.client.cache_pages = 4;
+  Cluster c(p);
   c.start();
   std::vector<std::vector<std::int64_t>> logs(c.nclients());
   std::vector<redbud::sim::ProcRef> refs;
   for (std::size_t i = 0; i < c.nclients(); ++i) {
     Simulation& csim = c.client_sim(i);
-    refs.push_back(csim.spawn(meta_churn(
+    refs.push_back(csim.spawn(mixed_churn(
         csim, c.client(i), static_cast<std::uint32_t>(i), &logs[i])));
   }
   c.run_until(SimTime::seconds(30));
   c.check_failures();
   for (const auto& r : refs) EXPECT_TRUE(r.done());
+  std::uint64_t array_reads = 0;
+  for (std::uint32_t d = 0; d < c.array().ndisks(); ++d) {
+    array_reads += c.array().disk(d).blocks_read();
+  }
+  EXPECT_GT(array_reads, 0u) << "no read reached the array";
   return logs;
 }
 
 TEST(ParallelCluster, MetadataTimingIdenticalForAnyWorkerCount) {
-  const auto serial = run_meta_churn(1);
-  for (const auto& log : serial) ASSERT_GT(log.size(), 40u);
-  const auto two = run_meta_churn(2);
-  const auto four = run_meta_churn(4);
-  EXPECT_EQ(serial, two)
-      << "partitioned kernel diverged from the serial timing";
-  EXPECT_EQ(serial, four);
-  // And the partitioned kernel replays itself.
-  EXPECT_EQ(two, run_meta_churn(2));
+  const auto one = run_mixed_churn(1);
+  for (const auto& log : one) ASSERT_GT(log.size(), 100u);
+  const auto two = run_mixed_churn(2);
+  const auto four = run_mixed_churn(4);
+  EXPECT_EQ(one, two) << "timing diverged between 1 and 2 worker threads";
+  EXPECT_EQ(one, four) << "timing diverged between 1 and 4 worker threads";
+  // And every worker count replays itself.
+  EXPECT_EQ(two, run_mixed_churn(2));
 }
 
 TEST(ParallelCluster, DataPathRoundTripsUnderPartitionedKernel) {
-  // Write / fsync / read-verify through the parallel disk-array path:
+  // Write / fsync / read-verify through the disk-array path on 2 workers:
   // content tokens must round-trip even though reads cannot peek the
   // array's state across partitions.
   Cluster c(small_cluster(2));
-  ASSERT_TRUE(c.parallel());
   c.start();
   bool done = false;
   Simulation& csim = c.client_sim(0);
@@ -146,7 +181,6 @@ TEST(ParallelCluster, WorkloadDriverRunsAndStaysConsistent) {
   tp.nclients = 4;
   tp.redbud = small_cluster(2);
   core::Testbed bed(tp);
-  ASSERT_TRUE(bed.parallel());
   bed.start();
 
   workload::FilebenchParams fp;

@@ -37,7 +37,7 @@ using redbud::sim::Simulation;
 
 constexpr SimTime kLookahead = SimTime::micros(40);
 
-// --- Serial probe: grid semantics ----------------------------------------
+// --- Probe: grid semantics ----------------------------------------------
 
 struct ProbeLog {
   Simulation* sim = nullptr;
@@ -52,15 +52,18 @@ struct ProbeLog {
 };
 
 TEST(KernelProbe, FiresAtExactGridInstantsBeforeCrossingEvents) {
-  Simulation sim;
+  // A 1 us lookahead makes every window narrower than the event spacing,
+  // so each grid instant fires before the first event past it runs.
+  SimDomain domain(1, SimTime::micros(1));
+  Simulation& sim = domain.add_partition();
   ProbeLog log;
   log.sim = &sim;
-  sim.set_probe(SimTime::micros(10), SimTime::micros(10), &log,
-                &ProbeLog::thunk);
+  domain.set_probe(SimTime::micros(10), SimTime::micros(10), &log,
+                   &ProbeLog::thunk);
   for (const std::int64_t us : {5, 25, 40, 104}) {
     sim.call_at(SimTime::micros(us), [&log, us] { log.event(us * 1000); });
   }
-  sim.run_until(SimTime::micros(120));
+  domain.run_until(SimTime::micros(120));
 
   // Probes fired at every exact grid instant up to the horizon, and the
   // clock had NOT yet reached the instant when each one ran (t_k^-).
@@ -88,18 +91,19 @@ TEST(KernelProbe, FiresAtExactGridInstantsBeforeCrossingEvents) {
   EXPECT_EQ(sim.now(), SimTime::micros(120));
 }
 
-// --- Serial probe: sampling cannot perturb the event stream --------------
+// --- Probe: sampling cannot perturb the event stream ---------------------
 
 std::uint64_t churn_digest(bool with_sampler, std::uint64_t* samples_out) {
-  Simulation sim;
+  SimDomain domain(1, kLookahead);
+  Simulation& sim = domain.add_partition();
   MetricsRegistry reg;
   Counter ops;
   reg.register_counter("churn.ops", {}, &ops);
   TimeSeriesSampler sampler(SamplerParams{SimTime::micros(15), 4096});
   sampler.bind(&reg);
   if (with_sampler) {
-    sim.set_probe(sampler.interval(), sampler.interval(), &sampler,
-                  &TimeSeriesSampler::probe_thunk);
+    domain.set_probe(sampler.interval(), sampler.interval(), &sampler,
+                     &TimeSeriesSampler::probe_thunk);
   }
 
   std::uint64_t digest = 1469598103934665603ull;
@@ -124,8 +128,8 @@ std::uint64_t churn_digest(bool with_sampler, std::uint64_t* samples_out) {
   Chain c{&sim, &ops, &fold};
   c.arm(1, 0, SimTime::micros(7));
   c.arm(2, 0, SimTime::micros(35));
-  sim.run_until(SimTime::millis(5));
-  fold(sim.events_processed());
+  domain.run_until(SimTime::millis(5));
+  fold(domain.events_processed());
   if (samples_out != nullptr) *samples_out = sampler.samples_taken();
   return digest;
 }
@@ -203,7 +207,7 @@ struct DomainHarness {
   static constexpr std::uint32_t kParts = 4;
 
   explicit DomainHarness(unsigned nthreads, SimTime interval)
-      : domain(nthreads, kLookahead, /*force_partitioned=*/true),
+      : domain(nthreads, kLookahead),
         sampler(SamplerParams{interval, 8192}) {
     for (std::uint32_t p = 0; p < kParts; ++p) {
       sims[p] = &domain.add_partition();
@@ -299,25 +303,6 @@ TEST(ParallelKernelProfile, EventsConserveAndTimeSplitsIntoBusyAndStall) {
   // The domain went quiescent, so every staged injection was delivered.
   EXPECT_GT(prof.injections_staged, 0u);
   EXPECT_EQ(prof.injections_staged, prof.injections_delivered);
-}
-
-TEST(ParallelKernelProfile, SerialDomainReportsWallAsWorkerZeroBusy) {
-  SimDomain d(1, kLookahead);
-  Simulation& s = d.add_partition();
-  int fired = 0;
-  for (int i = 1; i <= 64; ++i) {
-    s.call_at(SimTime::micros(i * 3), [&fired] { ++fired; });
-  }
-  d.run_until(SimTime::millis(1));
-  EXPECT_EQ(fired, 64);
-
-  const KernelProfile prof = d.kernel_profile();
-  ASSERT_EQ(prof.partitions.size(), 1u);
-  ASSERT_EQ(prof.workers.size(), 1u);
-  EXPECT_EQ(prof.partitions[0].events, s.events_processed());
-  EXPECT_EQ(prof.workers[0].busy_ns, prof.wall_ns);
-  EXPECT_EQ(prof.workers[0].stall_ns, 0u);
-  EXPECT_EQ(prof.rounds, 0u) << "the serial path runs no barrier rounds";
 }
 
 // --- Perfetto counter-track export (golden file) -------------------------

@@ -3,6 +3,9 @@
 // the engine must produce sane measurements.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "workload/filebench.hpp"
 #include "workload/npb_bt.hpp"
 #include "workload/xcdn.hpp"
@@ -143,6 +146,64 @@ TEST(WorkloadEngine, DelayedCommitBeatsSyncOnXcdnSmallFiles) {
     (proto == Protocol::kRedbudSync ? sync_ops : delayed_ops) = r.ops_per_sec;
   }
   EXPECT_GT(delayed_ops, sync_ops);
+}
+
+// A workload whose coroutines never finish: prepare() can park forever,
+// and each thread ignores ctx.stop. The driver must abort rather than
+// return while those frames still reference its context slots.
+class HangingWorkload : public Workload {
+ public:
+  explicit HangingWorkload(bool hang_in_prepare)
+      : hang_in_prepare_(hang_in_prepare) {}
+  [[nodiscard]] std::string name() const override { return "hanging"; }
+  [[nodiscard]] std::uint32_t threads_per_client() const override {
+    return 1;
+  }
+  redbud::sim::Process prepare(redbud::sim::Simulation& sim,
+                               fsapi::FsClient& fs, std::uint32_t client_id,
+                               WorkloadContext& ctx) override {
+    (void)fs;
+    (void)client_id;
+    (void)ctx;
+    while (hang_in_prepare_) co_await sim.delay(SimTime::seconds(10));
+  }
+  redbud::sim::Process thread(redbud::sim::Simulation& sim,
+                              fsapi::FsClient& fs, std::uint32_t client_id,
+                              std::uint32_t thread_id,
+                              WorkloadContext& ctx) override {
+    (void)fs;
+    (void)client_id;
+    (void)thread_id;
+    (void)ctx;
+    for (;;) co_await sim.delay(SimTime::seconds(10));
+  }
+
+ private:
+  bool hang_in_prepare_;
+};
+
+TEST(WorkloadEngineDeath, LiveThreadAtDrainDeadlineAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Testbed bed(small_bed(Protocol::kNfs3));
+        bed.start();
+        HangingWorkload w(/*hang_in_prepare=*/false);
+        (void)run_workload(bed, w, quick_run());
+      },
+      "drain deadline");
+}
+
+TEST(WorkloadEngineDeath, LivePrepareAtDeadlineAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Testbed bed(small_bed(Protocol::kNfs3));
+        bed.start();
+        HangingWorkload w(/*hang_in_prepare=*/true);
+        (void)run_workload(bed, w, quick_run());
+      },
+      "prepare");
 }
 
 }  // namespace
