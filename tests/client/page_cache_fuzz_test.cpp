@@ -21,9 +21,12 @@ struct Ref {
   std::map<std::pair<net::FileId, std::uint64_t>, Page> pages;
 };
 
+// Every field is 8 bytes wide so the struct has no padding: the ctest
+// name of each case prints the parameter's raw bytes, and padding would
+// print uninitialised memory that changes with every build and run.
 struct FuzzCase {
   std::uint64_t seed;
-  int ops;
+  std::int64_t ops;
   std::size_t capacity;
   std::uint64_t files;
   std::uint64_t blocks;

@@ -15,11 +15,14 @@ namespace {
 
 using net::Extent;
 
+// Every field is 8 bytes wide so the struct has no padding: the ctest
+// name of each case prints the parameter's raw bytes, and padding would
+// print uninitialised memory that changes with every build and run.
 struct FuzzCase {
   std::uint64_t seed;
-  int commits;
+  std::int64_t commits;
   std::uint64_t file_blocks;  // logical file size bound, in blocks
-  std::uint32_t max_extent;
+  std::uint64_t max_extent;
 };
 
 class InodeFuzz : public ::testing::TestWithParam<FuzzCase> {};
